@@ -8,6 +8,7 @@
 package busytime_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -129,10 +130,15 @@ func BenchmarkE8ThroughputDP(b *testing.B) {
 // E9 — Observation 2.1 bounds: the auto dispatcher on general workloads.
 func BenchmarkE9Bounds(b *testing.B) {
 	in := workload.General(1, workload.Config{N: 500, G: 4, MaxTime: 5000, MaxLen: 300})
+	solver := busytime.NewSolver()
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, _ := busytime.MinBusy(in)
-		if s.Cost() < in.LowerBound() {
+		res, err := solver.Solve(ctx, busytime.Request{Instance: in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cost < in.LowerBound() {
 			b.Fatal("cost below lower bound")
 		}
 	}
@@ -288,36 +294,6 @@ func BenchmarkScaleBlossomRaw(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				matching.Max(n, edges)
-			}
-		})
-	}
-}
-
-func BenchmarkScaleFirstFit(b *testing.B) {
-	for _, n := range []int{100, 1000, 4000} {
-		in := workload.General(1, workload.Config{N: n, G: 4, MaxTime: int64(n) * 5, MaxLen: 200})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				busytime.FirstFit(in)
-			}
-		})
-	}
-}
-
-func BenchmarkScaleFirstFitFast(b *testing.B) {
-	for _, n := range []int{1000, 4000} {
-		in := workload.General(1, workload.Config{N: n, G: 4, MaxTime: int64(n) * 5, MaxLen: 200})
-		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				busytime.FirstFit(in)
-			}
-		})
-		b.Run(fmt.Sprintf("treap/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				busytime.FirstFitFast(in)
 			}
 		})
 	}

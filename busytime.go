@@ -37,12 +37,13 @@
 // Every algorithm is registered in a central registry (Algorithms,
 // LookupAlgorithm, AlgorithmFor) with its name, problem kind, applicable
 // instance classes and approximation guarantee; auto dispatch and the
-// CLI -algo flags resolve through it. The top-level helpers below
-// (MinBusy, MaxThroughput, and the named algorithm variables) predate
-// the Solver and remain as thin wrappers.
+// CLI -algo flags resolve through it. The named algorithm variables
+// below call one algorithm directly, bypassing dispatch.
 package busytime
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/igraph"
@@ -99,32 +100,12 @@ func NewInstance(g int, spans ...[2]int64) Instance { return job.NewInstance(g, 
 // Classify returns the most specific instance class of the job set.
 func Classify(jobs []Job) Class { return igraph.Classify(jobs) }
 
-// MinBusy schedules all jobs with the strongest algorithm applicable to
-// the instance's class and returns the schedule and the algorithm name.
-//
-// Deprecated: use NewSolver().Solve with a KindMinBusy Request, which
-// adds context cancellation and a structured Result. MinBusy remains for
-// existing callers and dispatches identically.
-func MinBusy(in Instance) (Schedule, string) { return core.MinBusyAuto(in) }
-
-// MaxThroughput schedules a maximum subset of jobs within the busy-time
-// budget using the strongest applicable algorithm, returning the schedule
-// and algorithm name.
-//
-// Deprecated: use NewSolver().Solve with a KindMaxThroughput Request.
-func MaxThroughput(in Instance, budget int64) (Schedule, string) {
-	return core.ThroughputAuto(in, budget)
-}
-
 // Named MinBusy algorithms (see the paper references on each).
 var (
 	// NaivePerJob assigns each job its own machine (Prop 2.1 baseline).
 	NaivePerJob = core.NaivePerJob
 	// FirstFit is the 4-approximation baseline of [13].
 	FirstFit = core.FirstFit
-	// FirstFitFast is FirstFit with interval-treap threads: identical
-	// assignments, O(log n) overlap checks.
-	FirstFitFast = core.FirstFitFast
 	// OneSidedGreedy solves one-sided cliques exactly (Observation 3.1).
 	OneSidedGreedy = core.OneSidedGreedy
 	// CliqueMatching solves cliques with g = 2 exactly (Lemma 3.1).
@@ -249,8 +230,6 @@ var (
 	ReplayOnline = online.Replay
 	// ReplayFlexible replays flexible jobs under a start policy.
 	ReplayFlexible = online.FlexReplay
-	// CompareOnline reports empirical competitive ratios per strategy.
-	CompareOnline = online.Compare
 	// NewFlexJob builds a flexible job with a [release, deadline) window.
 	NewFlexJob = online.NewFlexJob
 	// StartASAP commits every flexible job at its release time.
@@ -258,6 +237,48 @@ var (
 	// StartAligned delays a flexible job into an open busy period.
 	StartAligned = online.StartAligned
 )
+
+// CompareOnline replays the instance through each strategy and reports
+// each run's cost against the offline schedule of NewSolver's auto
+// dispatch, the Observation 2.1 lower bound, and — when the instance is
+// small enough for the subset-DP oracle (n ≤ 18) — the exact optimum.
+// It is the harness behind the competitive-ratio experiments and
+// cmd/onlinesim.
+func CompareOnline(in Instance, strategies ...OnlineStrategy) ([]OnlineReport, error) {
+	offline, err := NewSolver().Solve(context.TODO(), Request{Instance: in})
+	if err != nil {
+		return nil, err
+	}
+	var exactCost int64
+	hasExact := false
+	if len(in.Jobs) <= exact.MaxN {
+		s, err := exact.MinBusy(in)
+		if err != nil {
+			return nil, err
+		}
+		exactCost, hasExact = s.Cost(), true
+	}
+	reports := make([]OnlineReport, 0, len(strategies))
+	for _, st := range strategies {
+		res, err := online.Replay(in, st)
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, OnlineReport{
+			Strategy:    res.Strategy,
+			Cost:        res.Cost,
+			Machines:    res.MachinesOpened,
+			PeakOpen:    res.PeakOpen,
+			Rejected:    res.Rejected,
+			OfflineCost: offline.Cost,
+			OfflineAlg:  offline.Algorithm,
+			ExactCost:   exactCost,
+			HasExact:    hasExact,
+			LowerBound:  in.LowerBound(),
+		})
+	}
+	return reports, nil
+}
 
 // Workload generation, re-exported for examples and downstream benchmarks.
 type WorkloadConfig = workload.Config

@@ -2,7 +2,6 @@ package busytime_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	busytime "repro"
@@ -11,14 +10,18 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	in := busytime.NewInstance(2,
 		[2]int64{0, 10}, [2]int64{5, 15}, [2]int64{8, 20}, [2]int64{12, 25})
-	s, alg := busytime.MinBusy(in)
+	res, err := busytime.NewSolver().Solve(context.Background(), busytime.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Schedule
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Throughput() != 4 {
 		t.Fatalf("MinBusy left jobs unscheduled")
 	}
-	if alg == "" {
+	if res.Algorithm == "" {
 		t.Fatal("no algorithm name reported")
 	}
 	if s.Cost() < in.LowerBound() || s.Cost() > in.TotalLen() {
@@ -36,12 +39,17 @@ func TestMaxThroughputDispatch(t *testing.T) {
 		{busytime.NewInstance(2, [2]int64{0, 20}, [2]int64{1, 8}, [2]int64{2, 9}), "clique-throughput"},
 		{busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{40, 50}), "greedy-throughput"},
 	}
+	solver := busytime.NewSolver()
 	for i, c := range cases {
-		s, alg := busytime.MaxThroughput(c.in, 1000)
-		if alg != c.want {
-			t.Errorf("case %d: dispatched to %q, want %q", i, alg, c.want)
+		res, err := solver.Solve(context.Background(),
+			busytime.Request{Instance: c.in, Kind: busytime.KindMaxThroughput, Budget: 1000})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
 		}
-		if err := s.Validate(); err != nil {
+		if res.Algorithm != c.want {
+			t.Errorf("case %d: dispatched to %q, want %q", i, res.Algorithm, c.want)
+		}
+		if err := res.Schedule.Validate(); err != nil {
 			t.Errorf("case %d: %v", i, err)
 		}
 	}
@@ -152,60 +160,5 @@ func TestRectFacade(t *testing.T) {
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDeprecatedFacadeByteIdentical locks the migration path from the
-// deprecated facade wrappers to the Solver: MinBusy and MaxThroughput
-// must produce byte-identical machine assignments (not merely equal
-// costs) and the same reported algorithm as the equivalent Solver.Solve
-// call, across every instance class and including disconnected
-// instances that exercise the component-merge path.
-func TestDeprecatedFacadeByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	solver := busytime.NewSolver()
-	gens := map[string]func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance{
-		"general":       busytime.GenerateGeneral,
-		"proper":        busytime.GenerateProper,
-		"clique":        busytime.GenerateClique,
-		"proper-clique": busytime.GenerateProperClique,
-		"one-sided": func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance {
-			return busytime.GenerateOneSided(seed, cfg, seed%2 == 0)
-		},
-		"cloud": busytime.GenerateCloud,
-	}
-	for name, gen := range gens {
-		for _, g := range []int{2, 3} {
-			for seed := int64(0); seed < 6; seed++ {
-				in := gen(seed, busytime.WorkloadConfig{N: 14, G: g, MaxTime: 120, MaxLen: 30})
-
-				wantSched, wantAlg := busytime.MinBusy(in)
-				res, err := solver.Solve(ctx, busytime.Request{Instance: in})
-				if err != nil {
-					t.Fatalf("%s g=%d seed=%d: %v", name, g, seed, err)
-				}
-				if res.Algorithm != wantAlg {
-					t.Errorf("%s g=%d seed=%d: facade ran %q, Solver ran %q", name, g, seed, wantAlg, res.Algorithm)
-				}
-				if !reflect.DeepEqual(wantSched.Machine, res.Schedule.Machine) {
-					t.Errorf("%s g=%d seed=%d: MinBusy assignments diverge\nfacade: %v\nsolver: %v",
-						name, g, seed, wantSched.Machine, res.Schedule.Machine)
-				}
-
-				budget := in.TotalLen() / 2
-				wantTS, wantTAlg := busytime.MaxThroughput(in, budget)
-				tres, err := solver.Solve(ctx, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget})
-				if err != nil {
-					t.Fatalf("%s g=%d seed=%d throughput: %v", name, g, seed, err)
-				}
-				if tres.Algorithm != wantTAlg {
-					t.Errorf("%s g=%d seed=%d: throughput facade ran %q, Solver ran %q", name, g, seed, wantTAlg, tres.Algorithm)
-				}
-				if !reflect.DeepEqual(wantTS.Machine, tres.Schedule.Machine) {
-					t.Errorf("%s g=%d seed=%d: MaxThroughput assignments diverge\nfacade: %v\nsolver: %v",
-						name, g, seed, wantTS.Machine, tres.Schedule.Machine)
-				}
-			}
-		}
 	}
 }

@@ -152,7 +152,7 @@ func TestMostWeightConsecutiveG1(t *testing.T) {
 
 func TestThroughputAutoReportsGreedyOnGeneral(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{100, 120})
-	s, name := ThroughputAuto(in, 50)
+	s, name := autoThroughput(t, in, 50)
 	if name != "greedy-throughput" {
 		t.Fatalf("dispatch = %q", name)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/igraph"
+	"repro/internal/itree"
 	"repro/internal/job"
 	"repro/internal/matching"
 	"repro/internal/setcover"
@@ -28,40 +29,35 @@ func NaivePerJob(in job.Instance) Schedule {
 // prior-work baseline the paper improves upon: sort jobs by non-increasing
 // length and place each on the first thread of the first machine where it
 // fits. It is a 4-approximation for general instances and a
-// 2-approximation for proper and for clique instances [13].
+// 2-approximation for proper and for clique instances [13]. Each machine
+// thread is an interval treap (internal/itree), so a fit check costs
+// O(log n) instead of a scan of the thread.
 func FirstFit(in job.Instance) Schedule {
 	s := NewSchedule(in)
-	// threads[m][t] holds the end-sorted jobs on thread t of machine m.
-	type thread []int
-	var machines [][]thread
-
-	fits := func(th thread, p int) bool {
-		for _, q := range th {
-			if in.Jobs[q].Overlaps(in.Jobs[p]) {
-				return false
-			}
-		}
-		return true
-	}
+	var machines [][]*itree.Set
 
 	for _, p := range byLenDescOrder(in.Jobs) {
+		iv := in.Jobs[p].Interval
 		placed := false
 		for m := 0; m < len(machines) && !placed; m++ {
 			for t := 0; t < len(machines[m]) && !placed; t++ {
-				if fits(machines[m][t], p) {
-					machines[m][t] = append(machines[m][t], p)
+				if machines[m][t].Insert(iv) {
 					s.Assign(p, m)
 					placed = true
 				}
 			}
 			if !placed && len(machines[m]) < in.G {
-				machines[m] = append(machines[m], thread{p})
+				th := &itree.Set{}
+				th.Insert(iv)
+				machines[m] = append(machines[m], th)
 				s.Assign(p, m)
 				placed = true
 			}
 		}
 		if !placed {
-			machines = append(machines, []thread{{p}})
+			th := &itree.Set{}
+			th.Insert(iv)
+			machines = append(machines, []*itree.Set{th})
 			s.Assign(p, len(machines)-1)
 		}
 	}
@@ -133,7 +129,7 @@ func CliqueMatchingCtx(ctx context.Context, in job.Instance) (Schedule, error) {
 	return s, nil
 }
 
-// MaxCliqueSetCoverJobs bounds the subset enumeration of CliqueSetCover:
+// MaxCliqueSetCoverSubsets bounds the subset enumeration of CliqueSetCover:
 // instances with more than this many candidate subsets are rejected. The
 // default admits e.g. n = 60 at g = 3 or n = 30 at g = 4.
 const MaxCliqueSetCoverSubsets = 5_000_000
@@ -233,10 +229,7 @@ func cliqueSubsetSets(ctx context.Context, in job.Instance) (modified, plain []s
 // CliqueSetCoverModified is the modified-weight variant alone (greedy
 // partition over weights g·span(Q)−len(Q)) — exposed for the E14 ablation.
 func CliqueSetCoverModified(in job.Instance) (Schedule, error) {
-	return cliqueSetCoverModifiedCtx(context.Background(), in)
-}
-
-func cliqueSetCoverModifiedCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+	ctx := context.Background()
 	if !igraph.IsClique(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: CliqueSetCoverModified requires a clique instance")
 	}
@@ -267,10 +260,7 @@ func coverFromModified(ctx context.Context, in job.Instance, modified []setcover
 // CliqueSetCoverPlain is the plain-span variant alone (classical greedy
 // cover, H_g guarantee) — exposed for the E14 ablation.
 func CliqueSetCoverPlain(in job.Instance) (Schedule, error) {
-	return cliqueSetCoverPlainCtx(context.Background(), in)
-}
-
-func cliqueSetCoverPlainCtx(ctx context.Context, in job.Instance) (Schedule, error) {
+	ctx := context.Background()
 	if !igraph.IsClique(in.Jobs) {
 		return Schedule{}, fmt.Errorf("core: CliqueSetCoverPlain requires a clique instance")
 	}
@@ -403,49 +393,6 @@ func FindBestConsecutive(in job.Instance) (Schedule, error) {
 		i -= j
 	}
 	return s, nil
-}
-
-// MinBusyAuto picks the strongest applicable algorithm for the instance
-// class: exact DPs and matchings where the paper gives polynomial exact
-// algorithms, approximation algorithms otherwise. It reports which
-// algorithm ran. Connected components are solved independently (Section 2).
-func MinBusyAuto(in job.Instance) (Schedule, string) {
-	comps := igraph.SplitComponents(in)
-	if len(comps) > 1 {
-		subs := make([]Schedule, len(comps))
-		names := make([]string, len(comps))
-		for i, comp := range comps {
-			subs[i], names[i] = MinBusyAuto(comp)
-		}
-		return MergeComponents(in, comps, subs, names)
-	}
-
-	switch igraph.Classify(in.Jobs) {
-	case igraph.OneSidedClique:
-		s, err := OneSidedGreedy(in)
-		if err == nil {
-			return s, "one-sided-greedy"
-		}
-	case igraph.ProperClique:
-		s, err := FindBestConsecutive(in)
-		if err == nil {
-			return s, "find-best-consecutive"
-		}
-	case igraph.Clique:
-		if in.G == 2 {
-			if s, err := CliqueMatching(in); err == nil {
-				return s, "clique-matching"
-			}
-		}
-		if s, err := CliqueSetCover(in); err == nil {
-			return s, "clique-set-cover"
-		}
-	case igraph.Proper:
-		if s, err := BestCut(in); err == nil {
-			return s, "best-cut"
-		}
-	}
-	return FirstFit(in), "first-fit"
 }
 
 // MergeComponents merges per-component schedules produced on the pieces

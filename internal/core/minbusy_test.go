@@ -1,15 +1,39 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	. "repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/igraph"
 	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/setcover"
 	"repro/internal/workload"
 )
+
+// autoMinBusy runs MinBusy auto dispatch. It lives in the registry, which
+// imports core, so these external tests can check which core algorithm
+// each class dispatches to.
+func autoMinBusy(t *testing.T, in job.Instance) (Schedule, string) {
+	t.Helper()
+	s, name, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, name
+}
+
+// autoThroughput runs MaxThroughput auto dispatch.
+func autoThroughput(t *testing.T, in job.Instance, budget int64) (Schedule, string) {
+	t.Helper()
+	s, name, err := registry.DispatchThroughput(context.Background(), in, budget, igraph.Classify(in.Jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, name
+}
 
 // mustValid fails the test if the schedule is invalid or partial when it
 // should be total.
@@ -239,7 +263,7 @@ func TestMinBusyAutoDispatch(t *testing.T) {
 		{job.NewInstance(3, [2]int64{0, 20}, [2]int64{1, 8}, [2]int64{2, 9}), "clique-set-cover"},
 	}
 	for i, c := range cases {
-		s, name := MinBusyAuto(c.in)
+		s, name := autoMinBusy(t, c.in)
 		if name != c.want {
 			t.Errorf("case %d: dispatched to %q, want %q", i, name, c.want)
 		}
@@ -252,7 +276,7 @@ func TestMinBusyAutoComponents(t *testing.T) {
 	in := job.NewInstance(2,
 		[2]int64{0, 10}, [2]int64{5, 15},
 		[2]int64{1000, 1010}, [2]int64{1005, 1015})
-	s, name := MinBusyAuto(in)
+	s, name := autoMinBusy(t, in)
 	mustValid(t, s, true)
 	if opt := optCost(t, in); s.Cost() != opt {
 		t.Errorf("auto %d != opt %d (via %s)", s.Cost(), opt, name)
@@ -264,14 +288,14 @@ func TestMinBusyAutoComponents(t *testing.T) {
 
 func TestMinBusyAutoGeneralFallsBackToFirstFit(t *testing.T) {
 	in := job.NewInstance(2, [2]int64{0, 10}, [2]int64{2, 5}, [2]int64{4, 30}, [2]int64{29, 40})
-	s, name := MinBusyAuto(in)
+	s, name := autoMinBusy(t, in)
 	mustValid(t, s, true)
 	if name != "first-fit" {
 		t.Errorf("dispatch = %q", name)
 	}
 }
 
-// MinBusyAuto must never lose to the g-approximation guarantee.
+// Auto dispatch must never lose to the g-approximation guarantee.
 func TestMinBusyAutoWithinG(t *testing.T) {
 	gens := []func(int64) job.Instance{
 		func(s int64) job.Instance {
@@ -293,7 +317,7 @@ func TestMinBusyAutoWithinG(t *testing.T) {
 	for gi, gen := range gens {
 		for seed := int64(0); seed < 10; seed++ {
 			in := gen(seed)
-			s, name := MinBusyAuto(in)
+			s, name := autoMinBusy(t, in)
 			mustValid(t, s, true)
 			opt := optCost(t, in)
 			if s.Cost() > int64(in.G)*opt {

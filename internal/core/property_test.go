@@ -45,15 +45,15 @@ func TestPropertyMinBusyInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstanceOfAnyClass(r)
 		bounds := BoundsOf(in)
-		s, _ := MinBusyAuto(in)
+		s, _ := autoMinBusy(t, in)
 		if s.Validate() != nil || s.Throughput() != len(in.Jobs) {
 			return false
 		}
 		if !bounds.Contains(s.Cost()) {
 			return false
 		}
-		// FirstFit and FirstFitFast must also respect the bounds.
-		for _, alt := range []Schedule{FirstFit(in), FirstFitFast(in), NaivePerJob(in)} {
+		// FirstFit and NaivePerJob must also respect the bounds.
+		for _, alt := range []Schedule{FirstFit(in), NaivePerJob(in)} {
 			if alt.Validate() != nil || !bounds.Contains(alt.Cost()) {
 				return false
 			}
@@ -74,7 +74,7 @@ func TestPropertyThroughputInvariants(t *testing.T) {
 		full := in.TotalLen()
 		prev := -1
 		for _, budget := range []int64{0, full / 4, full / 2, full} {
-			s, _ := ThroughputAuto(in, budget)
+			s, _ := autoThroughput(t, in, budget)
 			if s.Validate() != nil || s.Cost() > budget {
 				return false
 			}
@@ -96,7 +96,7 @@ func TestPropertyThroughputInvariants(t *testing.T) {
 		// With budget = len(J) every job fits (the length bound), so exact
 		// algorithms schedule all n and the clique 4-approximation must
 		// reach at least n/4.
-		s, name := ThroughputAuto(in, full)
+		s, name := autoThroughput(t, in, full)
 		n := len(in.Jobs)
 		if name == "clique-throughput" {
 			return 4*s.Throughput() >= n
@@ -115,7 +115,7 @@ func TestPropertyDispatchContract(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstanceOfAnyClass(r)
 		comps := igraph.SplitComponents(in)
-		_, name := MinBusyAuto(in)
+		_, name := autoMinBusy(t, in)
 		if len(comps) > 1 {
 			return len(name) > len("components:") && name[:11] == "components:"
 		}

@@ -8,8 +8,8 @@
 //
 // With d = 1 this counts every interior hop boundary; the classic
 // busy-time objective is recovered as d → the cost measured in units of
-// d-spans. The package provides the costing and a dispatcher wrapper so
-// any MinBusy schedule can be re-evaluated under d-hop costing.
+// d-spans. The package provides the costing, so any MinBusy schedule can
+// be re-evaluated under d-hop costing.
 package dhop
 
 import (
@@ -62,13 +62,4 @@ func LowerBound(in job.Instance, d int64) int64 {
 	}
 	g := int64(in.G)
 	return (demand + g - 1) / g
-}
-
-// Solve runs the busy-time dispatcher and reports both classic busy time
-// and the d-hop regenerator count — demonstrating that minimizing busy
-// time is a good proxy for minimizing regenerators (they differ only by
-// per-segment rounding).
-func Solve(in job.Instance, d int64) (sched core.Schedule, busy, regenerators int64) {
-	s, _ := core.MinBusyAuto(in)
-	return s, s.Cost(), Cost(s, d)
 }

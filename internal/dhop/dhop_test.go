@@ -1,12 +1,25 @@
 package dhop
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/igraph"
 	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
+
+// autoSolve runs MinBusy auto dispatch sequentially.
+func autoSolve(t *testing.T, in job.Instance) core.Schedule {
+	t.Helper()
+	s, _, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestSegmentCost(t *testing.T) {
 	cases := []struct {
@@ -50,7 +63,7 @@ func TestCostSumsSegments(t *testing.T) {
 
 func TestCostD1EqualsBusyTime(t *testing.T) {
 	in := workload.General(3, workload.Config{N: 15, G: 3, MaxTime: 100, MaxLen: 30})
-	s, _ := core.MinBusyAuto(in)
+	s := autoSolve(t, in)
 	if Cost(s, 1) != s.Cost() {
 		t.Errorf("d=1 cost %d != busy time %d", Cost(s, 1), s.Cost())
 	}
@@ -58,7 +71,7 @@ func TestCostD1EqualsBusyTime(t *testing.T) {
 
 func TestCostMonotoneInD(t *testing.T) {
 	in := workload.Lightpaths(5, workload.Config{N: 20, G: 4, MaxTime: 300, MaxLen: 80})
-	s, _ := core.MinBusyAuto(in)
+	s := autoSolve(t, in)
 	prev := int64(1 << 62)
 	for _, d := range []int64{1, 2, 5, 10, 100} {
 		c := Cost(s, d)
@@ -71,15 +84,10 @@ func TestCostMonotoneInD(t *testing.T) {
 
 func TestSolveAndLowerBound(t *testing.T) {
 	in := workload.Lightpaths(7, workload.Config{N: 25, G: 4, MaxTime: 400, MaxLen: 100})
-	s, busy, regen := Solve(in, 10)
+	s := autoSolve(t, in)
+	busy, regen := s.Cost(), Cost(s, 10)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if busy != s.Cost() {
-		t.Errorf("busy mismatch")
-	}
-	if regen != Cost(s, 10) {
-		t.Errorf("regen mismatch")
 	}
 	if regen < LowerBound(in, 10) {
 		t.Errorf("regenerators %d below lower bound %d", regen, LowerBound(in, 10))

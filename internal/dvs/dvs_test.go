@@ -1,16 +1,26 @@
 package dvs
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/igraph"
 	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
-func autoSolve(in job.Instance) core.Schedule {
-	s, _ := core.MinBusyAuto(in)
-	return s
+// autoSolver returns a Sweep callback running MinBusy auto dispatch
+// sequentially, failing t on a dispatch error.
+func autoSolver(t *testing.T) func(job.Instance) core.Schedule {
+	return func(in job.Instance) core.Schedule {
+		s, _, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 }
 
 func TestScaleInstanceShrinksJobs(t *testing.T) {
@@ -53,7 +63,7 @@ func TestScaleInstanceRejectsSlowdown(t *testing.T) {
 
 func TestSweepBusyNonIncreasing(t *testing.T) {
 	in := workload.General(9, workload.Config{N: 25, G: 3, MaxTime: 150, MaxLen: 50})
-	pts, err := Sweep(in, 3, []float64{1, 1.5, 2, 3, 5}, autoSolve)
+	pts, err := Sweep(in, 3, []float64{1, 1.5, 2, 3, 5}, autoSolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,7 @@ func TestSweepBusyNonIncreasing(t *testing.T) {
 func TestBestSpeedNearFineSweep(t *testing.T) {
 	in := workload.General(4, workload.Config{N: 20, G: 2, MaxTime: 120, MaxLen: 40})
 	const alpha = 3
-	best, err := BestSpeed(in, alpha, 4, 0.01, autoSolve)
+	best, err := BestSpeed(in, alpha, 4, 0.01, autoSolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestBestSpeedNearFineSweep(t *testing.T) {
 	for s := 1.0; s <= 4.0; s += 0.05 {
 		sigmas = append(sigmas, s)
 	}
-	pts, err := Sweep(in, alpha, sigmas, autoSolve)
+	pts, err := Sweep(in, alpha, sigmas, autoSolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestBestSpeedNearFineSweep(t *testing.T) {
 }
 
 func TestBestSpeedRejectsBadMax(t *testing.T) {
-	if _, err := BestSpeed(job.NewInstance(1, [2]int64{0, 5}), 3, 0.5, 0.01, autoSolve); err == nil {
+	if _, err := BestSpeed(job.NewInstance(1, [2]int64{0, 5}), 3, 0.5, 0.01, autoSolver(t)); err == nil {
 		t.Fatal("accepted maxSigma < 1")
 	}
 }
@@ -108,11 +118,11 @@ func TestBestSpeedRejectsBadMax(t *testing.T) {
 // With alpha large, running faster is never worth it: best speed ~ 1.
 func TestBestSpeedHighAlphaStaysSlow(t *testing.T) {
 	in := workload.General(2, workload.Config{N: 15, G: 2, MaxTime: 100, MaxLen: 30})
-	best, err := BestSpeed(in, 10, 4, 0.01, autoSolve)
+	best, err := BestSpeed(in, 10, 4, 0.01, autoSolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Sweep(in, 10, []float64{1}, autoSolve)
+	base, err := Sweep(in, 10, []float64{1}, autoSolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}

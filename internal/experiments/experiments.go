@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/demand"
 	"repro/internal/exact"
+	"repro/internal/igraph"
 	"repro/internal/job"
 	"repro/internal/localsearch"
 	"repro/internal/online"
@@ -65,6 +66,16 @@ func mustMinBusy(name string) func(job.Instance) core.Schedule {
 		}
 		return s
 	}
+}
+
+// autoMinBusy is the "auto" row: the Solver's auto dispatch over
+// connected components, run sequentially.
+func autoMinBusy(in job.Instance) core.Schedule {
+	s, _, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // throughputSolve resolves a registered MaxThroughput algorithm's hook.
@@ -405,7 +416,7 @@ func E9(seeds int) Result {
 	algs := []alg{
 		{"naive-per-job", mustMinBusy("naive-per-job")},
 		{"first-fit", mustMinBusy("first-fit")},
-		{"auto", func(in job.Instance) core.Schedule { s, _ := core.MinBusyAuto(in); return s }},
+		{"auto", autoMinBusy},
 	}
 	for _, a := range algs {
 		var vsLB, vsGOpt []float64
@@ -690,7 +701,7 @@ func E15(seeds int) Result {
 	}
 	starters := []starter{
 		{"first-fit", mustMinBusy("first-fit")},
-		{"auto", func(in job.Instance) core.Schedule { s, _ := core.MinBusyAuto(in); return s }},
+		{"auto", autoMinBusy},
 		{"naive", mustMinBusy("naive-per-job")},
 	}
 	for _, st := range starters {

@@ -1,13 +1,27 @@
 package localsearch
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/demand"
 	"repro/internal/exact"
+	"repro/internal/igraph"
+	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
+
+// autoSolve runs MinBusy auto dispatch sequentially.
+func autoSolve(t *testing.T, in job.Instance) core.Schedule {
+	t.Helper()
+	s, _, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestImproveNeverWorsens(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -86,10 +100,10 @@ func TestImproveEmpty(t *testing.T) {
 
 func TestImproveInstance(t *testing.T) {
 	in := workload.Lightpaths(2, workload.Config{N: 25, G: 3, MaxTime: 200, MaxLen: 60})
-	auto, _ := core.MinBusyAuto(in)
-	improved := ImproveInstance(in, 0)
+	auto := autoSolve(t, in)
+	improved := Improve(auto, 0)
 	if improved.Cost() > auto.Cost() {
-		t.Errorf("ImproveInstance worsened: %d > %d", improved.Cost(), auto.Cost())
+		t.Errorf("local search worsened auto dispatch: %d > %d", improved.Cost(), auto.Cost())
 	}
 	if err := improved.Validate(); err != nil {
 		t.Fatal(err)

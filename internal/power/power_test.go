@@ -1,13 +1,26 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/igraph"
 	"repro/internal/interval"
 	"repro/internal/job"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
+
+// autoSolve runs MinBusy auto dispatch sequentially.
+func autoSolve(t *testing.T, in job.Instance) core.Schedule {
+	t.Helper()
+	s, _, err := registry.DispatchMinBusy(context.Background(), in, igraph.Classify(in.Jobs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestMachineEnergyNoGaps(t *testing.T) {
 	busy := []interval.Interval{interval.New(0, 10)}
@@ -40,7 +53,7 @@ func TestMachineEnergyEmpty(t *testing.T) {
 
 func TestScheduleEnergyZeroWakeEqualsCost(t *testing.T) {
 	in := workload.General(3, workload.Config{N: 12, G: 3, MaxTime: 80, MaxLen: 25})
-	s, _ := core.MinBusyAuto(in)
+	s := autoSolve(t, in)
 	if got := ScheduleEnergy(s, 0); got != s.Cost() {
 		t.Errorf("zero-wake energy %d != cost %d", got, s.Cost())
 	}

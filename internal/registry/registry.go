@@ -3,8 +3,9 @@
 // registers here with a name, problem kind, applicable instance classes
 // and approximation guarantee. Lookup, For and List replace the
 // per-caller algorithm-name switches: the CLIs resolve user input
-// through LookupKind, the Solver's auto dispatch walks ForAll in
-// strength order, and documentation tables render straight from List.
+// through LookupKind, auto dispatch (DispatchMinBusy, DispatchThroughput)
+// walks ForAll in strength order, and documentation tables render
+// straight from List.
 //
 // The registry is populated at init time by builtins.go; Register is
 // exported so future subsystems (e.g. a busyd serving layer loading
@@ -299,9 +300,8 @@ func LookupKind(kind Kind, name string) (Algorithm, error) {
 }
 
 // For returns the strongest registered algorithm applicable to the
-// detected instance class, excluding exponential oracles. It mirrors the
-// choice MinBusyAuto/ThroughputAuto make on instances where their first
-// choice applies unconditionally.
+// detected instance class, excluding exponential oracles: auto
+// dispatch's first attempt on a connected instance of that class.
 func For(kind Kind, class igraph.Class) (Algorithm, error) {
 	chain := ForAll(kind, class)
 	if len(chain) == 0 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/igraph"
 	"repro/internal/job"
 	"repro/internal/registry"
-	"repro/internal/workload"
 )
 
 // TestRegistryRoundTrip checks that every registered algorithm resolves
@@ -36,6 +35,13 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if got.Name != a.Name {
 				t.Errorf("LookupKind(%s, %q) = %q, want %q", a.Kind, alias, got.Name, a.Name)
 			}
+		}
+	}
+	// first-fit-fast was a registration of its own until FirstFit took
+	// over its interval-treap threads; its names now pin first-fit.
+	for _, name := range []string{"first-fit-fast", "firstfitfast"} {
+		if got, err := registry.Lookup(name); err != nil || got.Name != "first-fit" {
+			t.Errorf("Lookup(%q) = %q, %v; want first-fit", name, got.Name, err)
 		}
 	}
 }
@@ -111,7 +117,7 @@ func TestRegistryForAllChain(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := []string{"clique-matching", "clique-set-cover", "first-fit", "first-fit-fast", "naive-per-job"}
+	want := []string{"clique-matching", "clique-set-cover", "first-fit", "naive-per-job"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("clique chain = %v, want %v", names, want)
 	}
@@ -130,66 +136,45 @@ func TestRegistryForAllChain(t *testing.T) {
 	}
 }
 
-// TestRegistryForMatchesAutoDispatch verifies on randomized connected
-// instances that walking the registry chain reproduces exactly the
-// algorithm core.MinBusyAuto / core.ThroughputAuto chose.
-func TestRegistryForMatchesAutoDispatch(t *testing.T) {
-	ctx := context.Background()
-	type gen struct {
-		name string
-		make func(seed int64, g int) job.Instance
-	}
-	cfgFor := func(g int) workload.Config {
-		return workload.Config{N: 12, G: g, MaxTime: 120, MaxLen: 40}
-	}
-	cases := []gen{
-		{"general", func(seed int64, g int) job.Instance { return workload.General(seed, cfgFor(g)) }},
-		{"proper", func(seed int64, g int) job.Instance { return workload.Proper(seed, cfgFor(g)) }},
-		{"clique", func(seed int64, g int) job.Instance { return workload.Clique(seed, cfgFor(g)) }},
-		{"proper-clique", func(seed int64, g int) job.Instance { return workload.ProperClique(seed, cfgFor(g)) }},
-		{"one-sided", func(seed int64, g int) job.Instance { return workload.OneSided(seed, cfgFor(g), true) }},
+// TestRegistryChainOrder pins the auto-dispatch preference per class
+// and capacity g: the ForAll chain, strongest first, without the entries
+// whose capacity range excludes g. Exact class-specific algorithms
+// (Observation 3.1, Theorem 3.2, Lemma 3.1) come before the
+// approximations (Lemma 3.2, Theorem 3.1), which come before the FirstFit
+// and per-job baselines; for MaxThroughput the exact algorithms
+// (Proposition 4.1, Theorem 4.2) come before the Theorem 4.1
+// 4-approximation and the greedy fallback.
+func TestRegistryChainOrder(t *testing.T) {
+	cases := []struct {
+		kind  registry.Kind
+		class igraph.Class
+		gs    []int
+		want  string
+	}{
+		{registry.MinBusy, igraph.General, []int{2, 3, 4}, "first-fit naive-per-job"},
+		{registry.MinBusy, igraph.Proper, []int{2, 3, 4}, "best-cut first-fit naive-per-job"},
+		{registry.MinBusy, igraph.Clique, []int{2}, "clique-matching clique-set-cover first-fit naive-per-job"},
+		{registry.MinBusy, igraph.Clique, []int{3, 4}, "clique-set-cover first-fit naive-per-job"},
+		{registry.MinBusy, igraph.ProperClique, []int{2}, "find-best-consecutive clique-matching clique-set-cover best-cut first-fit naive-per-job"},
+		{registry.MinBusy, igraph.ProperClique, []int{3, 4}, "find-best-consecutive clique-set-cover best-cut first-fit naive-per-job"},
+		{registry.MinBusy, igraph.OneSidedClique, []int{2}, "one-sided-greedy clique-matching clique-set-cover first-fit naive-per-job"},
+		{registry.MinBusy, igraph.OneSidedClique, []int{3, 4}, "one-sided-greedy clique-set-cover first-fit naive-per-job"},
+		{registry.MaxThroughput, igraph.General, []int{2, 3, 4}, "greedy-throughput"},
+		{registry.MaxThroughput, igraph.Proper, []int{2, 3, 4}, "greedy-throughput"},
+		{registry.MaxThroughput, igraph.Clique, []int{2, 3, 4}, "clique-throughput greedy-throughput"},
+		{registry.MaxThroughput, igraph.ProperClique, []int{2, 3, 4}, "most-throughput-consecutive most-weight-consecutive clique-throughput greedy-throughput"},
+		{registry.MaxThroughput, igraph.OneSidedClique, []int{2, 3, 4}, "one-sided-throughput one-sided-weight-throughput clique-throughput greedy-throughput"},
 	}
 	for _, c := range cases {
-		for _, g := range []int{2, 3} {
-			for seed := int64(0); seed < 10; seed++ {
-				in := c.make(seed, g)
-				if len(igraph.SplitComponents(in)) > 1 {
-					continue // component merging is the Solver's job
+		for _, g := range c.gs {
+			var names []string
+			for _, a := range registry.ForAll(c.kind, c.class) {
+				if a.AcceptsG(g) {
+					names = append(names, a.Name)
 				}
-				class := igraph.Classify(in.Jobs)
-
-				wantSched, wantName := core.MinBusyAuto(in)
-				gotName := ""
-				var gotCost int64
-				for _, alg := range registry.ForAll(registry.MinBusy, class) {
-					if s, err := alg.SolveMinBusy(ctx, in); err == nil {
-						gotName, gotCost = alg.Name, s.Cost()
-						break
-					}
-				}
-				if gotName != wantName {
-					t.Errorf("%s g=%d seed=%d: chain chose %q, auto chose %q", c.name, g, seed, gotName, wantName)
-				}
-				if gotCost != wantSched.Cost() {
-					t.Errorf("%s g=%d seed=%d: chain cost %d, auto cost %d", c.name, g, seed, gotCost, wantSched.Cost())
-				}
-
-				budget := in.TotalLen() / 2
-				wantTS, wantTName := core.ThroughputAuto(in, budget)
-				gotTName := ""
-				var gotTput int
-				for _, alg := range registry.ForAll(registry.MaxThroughput, class) {
-					if s, err := alg.SolveThroughput(ctx, in, budget); err == nil {
-						gotTName, gotTput = alg.Name, s.Throughput()
-						break
-					}
-				}
-				if gotTName != wantTName {
-					t.Errorf("%s g=%d seed=%d: throughput chain chose %q, auto chose %q", c.name, g, seed, gotTName, wantTName)
-				}
-				if gotTput != wantTS.Throughput() {
-					t.Errorf("%s g=%d seed=%d: throughput chain scheduled %d, auto %d", c.name, g, seed, gotTput, wantTS.Throughput())
-				}
+			}
+			if got := strings.Join(names, " "); got != c.want {
+				t.Errorf("%s %s g=%d: chain %q, want %q", c.kind, c.class, g, got, c.want)
 			}
 		}
 	}

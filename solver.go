@@ -273,13 +273,15 @@ func ResultOf(algorithm string, s Schedule) Result {
 	return res
 }
 
-// Solver executes Requests. The zero value auto-dispatches like
-// MinBusy/MaxThroughput always have; options pin a named algorithm,
-// set a default budget, enable local-search post-optimization, route
-// small instances to the exact oracle, solve connected components in
-// parallel, or keep a reoptimization cache of prior solves. A Solver's
-// configuration is immutable after construction and it is safe for
-// concurrent use (the reoptimization cache is internally locked).
+// Solver executes Requests. The zero value auto-dispatches: the
+// strongest registered algorithm that accepts the input solves each
+// connected component (MinBusy) or the whole instance (MaxThroughput).
+// Options pin a named algorithm, set a default budget, enable
+// local-search post-optimization, route small instances to the exact
+// oracle, solve connected components in parallel, or keep a
+// reoptimization cache of prior solves. A Solver's configuration is
+// immutable after construction and it is safe for concurrent use (the
+// reoptimization cache is internally locked).
 type Solver struct {
 	algorithm      string
 	budget         int64
@@ -722,7 +724,7 @@ func (s *Solver) assembleMinBusy(sch Schedule, in Instance, class Class, algorit
 }
 
 // solveMinBusy runs a pinned algorithm, the exact oracle below the
-// threshold, or registry-driven auto dispatch over connected components.
+// threshold, or registry auto dispatch over connected components.
 func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Schedule, string, error) {
 	if s.algorithm != "" {
 		alg, err := registry.LookupKind(registry.MinBusy, s.algorithm)
@@ -736,54 +738,11 @@ func (s *Solver) solveMinBusy(ctx context.Context, in Instance, class Class) (Sc
 		sch, err := exact.MinBusyCtx(ctx, in)
 		return sch, "exact", err
 	}
-
-	comps := igraph.SplitComponents(in)
-	if len(comps) <= 1 {
-		return runMinBusyChain(ctx, in, class)
-	}
-
-	// Disconnected instances decompose (Section 2): solve each component
-	// independently — in parallel when configured — and merge on disjoint
-	// machine ranges.
-	type compResult struct {
-		sch  Schedule
-		name string
-		err  error
-	}
-	results := make([]compResult, len(comps))
-	parallel.ForEach(len(comps), s.parallelism, func(i int) {
-		sch, name, err := runMinBusyChain(ctx, comps[i], igraph.Classify(comps[i].Jobs))
-		results[i] = compResult{sch, name, err}
-	})
-
-	subs := make([]Schedule, len(comps))
-	names := make([]string, len(comps))
-	for i, r := range results {
-		if r.err != nil {
-			return Schedule{}, "", r.err
-		}
-		subs[i], names[i] = r.sch, r.name
-	}
-	merged, name := core.MergeComponents(in, comps, subs, names)
-	return merged, name, nil
+	return registry.DispatchMinBusy(ctx, in, class, s.parallelism)
 }
 
-// runMinBusyChain walks the registry's fallback chain for the
-// component's class and returns the first schedule produced — exactly
-// the dispatch order of core.MinBusyAuto, now derived from registered
-// strengths instead of a switch.
-func runMinBusyChain(ctx context.Context, in Instance, class Class) (Schedule, string, error) {
-	for _, alg := range registry.ForAll(registry.MinBusy, class) {
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, "", err
-		}
-		if sch, err := alg.SolveMinBusy(ctx, in); err == nil {
-			return sch, alg.Name, nil
-		}
-	}
-	return Schedule{}, "", fmt.Errorf("busytime: no registered min-busy algorithm accepted the instance (class %s)", class)
-}
-
+// solveThroughput runs a pinned algorithm, the exact oracle below the
+// threshold, or registry auto dispatch.
 func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64, class Class) (Schedule, string, error) {
 	if s.algorithm != "" {
 		alg, err := registry.LookupKind(registry.MaxThroughput, s.algorithm)
@@ -797,15 +756,7 @@ func (s *Solver) solveThroughput(ctx context.Context, in Instance, budget int64,
 		sch, err := exact.MaxThroughputCtx(ctx, in, budget)
 		return sch, "exact-throughput", err
 	}
-	for _, alg := range registry.ForAll(registry.MaxThroughput, class) {
-		if err := ctx.Err(); err != nil {
-			return Schedule{}, "", err
-		}
-		if sch, err := alg.SolveThroughput(ctx, in, budget); err == nil {
-			return sch, alg.Name, nil
-		}
-	}
-	return Schedule{}, "", fmt.Errorf("busytime: no registered max-throughput algorithm accepted the instance (class %s)", class)
+	return registry.DispatchThroughput(ctx, in, budget, class)
 }
 
 // solveOnline replays the instance through the pinned (or strongest

@@ -2,81 +2,133 @@ package busytime_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	busytime "repro"
 )
 
-// TestRegistrySolverAutoMatchesMinBusy checks that the Solver's
-// registry-driven auto dispatch reproduces the deprecated MinBusy
-// wrapper — algorithm name and cost — on randomized instances of every
-// class, including disconnected ones (the "components:" merge path).
+// goldenCase is one instance of the auto-dispatch golden file
+// (testdata/dispatch_golden.txt, whose header documents the format)
+// with its golden result lines.
+type goldenCase struct {
+	head       string
+	in         busytime.Instance
+	minBusy    string
+	throughput []string
+}
+
+// readDispatchGolden parses the golden file that pins auto dispatch.
+func readDispatchGolden(t *testing.T) []goldenCase {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/dispatch_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []goldenCase
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case strings.HasPrefix(line, "case "):
+			var name string
+			var g int
+			if _, err := fmt.Sscanf(line, "case %s g=%d", &name, &g); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			cases = append(cases, goldenCase{head: line, in: busytime.Instance{G: g}})
+		case strings.HasPrefix(line, "jobs "):
+			c := &cases[len(cases)-1]
+			for i, f := range strings.Fields(strings.TrimPrefix(line, "jobs ")) {
+				span, weight, weighted := strings.Cut(f, "*")
+				lo, hi, _ := strings.Cut(span, "-")
+				start, err1 := strconv.ParseInt(lo, 10, 64)
+				end, err2 := strconv.ParseInt(hi, 10, 64)
+				j := busytime.NewJob(i, start, end)
+				var err3 error
+				if weighted {
+					j.Weight, err3 = strconv.ParseInt(weight, 10, 64)
+				}
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Fatalf("%s: bad job %q", c.head, f)
+				}
+				c.in.Jobs = append(c.in.Jobs, j)
+			}
+		case strings.HasPrefix(line, "min-busy "):
+			cases[len(cases)-1].minBusy = line
+		case strings.HasPrefix(line, "max-throughput "):
+			c := &cases[len(cases)-1]
+			c.throughput = append(c.throughput, line)
+		}
+	}
+	if len(cases) == 0 {
+		t.Fatal("no cases in the dispatch golden file")
+	}
+	return cases
+}
+
+// goldenDigest is the golden file's assignment digest.
+func goldenDigest(s busytime.Schedule) string {
+	h := sha256.New()
+	for _, m := range s.Machine {
+		fmt.Fprintf(h, "%d,", m)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestRegistrySolverAutoMatchesMinBusy checks that the Solver's auto
+// dispatch reproduces the golden min-busy results — algorithm name,
+// cost and byte-identical machine assignment — on every instance class,
+// including disconnected instances (the "components:" merge path).
 func TestRegistrySolverAutoMatchesMinBusy(t *testing.T) {
 	ctx := context.Background()
 	solver := busytime.NewSolver()
-	gens := map[string]func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance{
-		"general":       busytime.GenerateGeneral,
-		"proper":        busytime.GenerateProper,
-		"clique":        busytime.GenerateClique,
-		"proper-clique": busytime.GenerateProperClique,
-	}
-	for name, gen := range gens {
-		for seed := int64(0); seed < 12; seed++ {
-			in := gen(seed, busytime.WorkloadConfig{N: 14, G: 3, MaxTime: 150, MaxLen: 40})
-			res, err := solver.Solve(ctx, busytime.Request{Instance: in})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			wantSched, wantAlg := busytime.MinBusy(in)
-			if res.Algorithm != wantAlg {
-				t.Errorf("%s seed %d: solver chose %q, MinBusy chose %q", name, seed, res.Algorithm, wantAlg)
-			}
-			if res.Cost != wantSched.Cost() {
-				t.Errorf("%s seed %d: solver cost %d, MinBusy cost %d", name, seed, res.Cost, wantSched.Cost())
-			}
-			if res.Scheduled != len(in.Jobs) {
-				t.Errorf("%s seed %d: %d/%d scheduled", name, seed, res.Scheduled, len(in.Jobs))
-			}
-			if err := res.Certificate(); err != nil {
-				t.Errorf("%s seed %d: certificate: %v", name, seed, err)
-			}
+	for _, c := range readDispatchGolden(t) {
+		res, err := solver.Solve(ctx, busytime.Request{Instance: c.in})
+		if err != nil {
+			t.Fatalf("%s: %v", c.head, err)
+		}
+		got := fmt.Sprintf("min-busy class=%s algorithm=%s cost=%d digest=%s", res.Class, res.Algorithm, res.Cost, goldenDigest(res.Schedule))
+		if got != c.minBusy {
+			t.Errorf("%s:\n got: %s\nwant: %s", c.head, got, c.minBusy)
+		}
+		if res.Scheduled != len(c.in.Jobs) {
+			t.Errorf("%s: %d/%d scheduled", c.head, res.Scheduled, len(c.in.Jobs))
+		}
+		if err := res.Certificate(); err != nil {
+			t.Errorf("%s: certificate: %v", c.head, err)
 		}
 	}
 }
 
-// TestRegistrySolverAutoMatchesThroughput is the MaxThroughput analogue.
+// TestRegistrySolverAutoMatchesThroughput is the MaxThroughput analogue,
+// at each golden budget.
 func TestRegistrySolverAutoMatchesThroughput(t *testing.T) {
 	ctx := context.Background()
 	solver := busytime.NewSolver()
-	for seed := int64(0); seed < 12; seed++ {
-		for _, gen := range []func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance{
-			busytime.GenerateGeneral, busytime.GenerateClique, busytime.GenerateProperClique,
-		} {
-			in := gen(seed, busytime.WorkloadConfig{N: 12, G: 2, MaxTime: 120, MaxLen: 35})
-			budget := in.TotalLen() / 2
-			if budget == 0 {
-				continue
+	for _, c := range readDispatchGolden(t) {
+		for _, want := range c.throughput {
+			var budget int64
+			if _, err := fmt.Sscanf(want, "max-throughput budget=%d", &budget); err != nil {
+				t.Fatalf("%q: %v", want, err)
 			}
 			res, err := solver.Solve(ctx, busytime.Request{
-				Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget,
+				Instance: c.in, Kind: busytime.KindMaxThroughput, Budget: budget,
 			})
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("%s budget %d: %v", c.head, budget, err)
 			}
-			wantSched, wantAlg := busytime.MaxThroughput(in, budget)
-			if res.Algorithm != wantAlg {
-				t.Errorf("seed %d: solver chose %q, MaxThroughput chose %q", seed, res.Algorithm, wantAlg)
-			}
-			if res.Scheduled != wantSched.Throughput() {
-				t.Errorf("seed %d: solver scheduled %d, MaxThroughput %d", seed, res.Scheduled, wantSched.Throughput())
-			}
-			if res.Cost > budget {
-				t.Errorf("seed %d: cost %d over budget %d", seed, res.Cost, budget)
+			got := fmt.Sprintf("max-throughput budget=%d algorithm=%s scheduled=%d cost=%d digest=%s",
+				budget, res.Algorithm, res.Scheduled, res.Cost, goldenDigest(res.Schedule))
+			if got != want {
+				t.Errorf("%s:\n got: %s\nwant: %s", c.head, got, want)
 			}
 			if err := res.Certificate(); err != nil {
-				t.Errorf("seed %d: certificate: %v", seed, err)
+				t.Errorf("%s budget %d: certificate: %v", c.head, budget, err)
 			}
 		}
 	}
@@ -147,9 +199,12 @@ func TestRegistrySolverExactThreshold(t *testing.T) {
 	if res.Algorithm != "exact" {
 		t.Fatalf("algorithm = %q, want exact", res.Algorithm)
 	}
-	auto, _ := busytime.MinBusy(in)
-	if res.Cost > auto.Cost() {
-		t.Errorf("exact cost %d worse than auto %d", res.Cost, auto.Cost())
+	auto, err := busytime.NewSolver().Solve(ctx, busytime.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost > auto.Cost {
+		t.Errorf("exact cost %d worse than auto %d", res.Cost, auto.Cost)
 	}
 	if err := res.Certificate(); err != nil {
 		t.Error(err)
@@ -199,16 +254,12 @@ func TestRegistrySolverParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(seq.Algorithm, "components:") {
-		t.Fatalf("expected a components merge, got %q", seq.Algorithm)
+	if seq.Algorithm != "components:clique-matching" {
+		t.Fatalf("expected a merge of clique-matching components, got %q", seq.Algorithm)
 	}
 	if seq.Algorithm != par.Algorithm || seq.Cost != par.Cost || seq.Machines != par.Machines {
 		t.Errorf("parallel solve diverged: %q/%d/%d vs %q/%d/%d",
 			seq.Algorithm, seq.Cost, seq.Machines, par.Algorithm, par.Cost, par.Machines)
-	}
-	wantSched, wantAlg := busytime.MinBusy(in)
-	if seq.Algorithm != wantAlg || seq.Cost != wantSched.Cost() {
-		t.Errorf("solver %q/%d, MinBusy %q/%d", seq.Algorithm, seq.Cost, wantAlg, wantSched.Cost())
 	}
 	if err := par.Certificate(); err != nil {
 		t.Error(err)
@@ -403,8 +454,12 @@ func TestRegistryFacadeViews(t *testing.T) {
 // cmd/verify.
 func TestRegistryResultOf(t *testing.T) {
 	in := busytime.NewInstance(2, [2]int64{0, 10}, [2]int64{5, 15})
-	s, alg := busytime.MinBusy(in)
-	res := busytime.ResultOf(alg, s)
+	solved, err := busytime.NewSolver().Solve(context.Background(), busytime.Request{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := solved.Schedule
+	res := busytime.ResultOf(solved.Algorithm, s)
 	if err := res.Certificate(); err != nil {
 		t.Fatal(err)
 	}
