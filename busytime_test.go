@@ -2,9 +2,11 @@ package busytime_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	busytime "repro"
+	"repro/internal/registry"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -160,5 +162,69 @@ func TestRectFacade(t *testing.T) {
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeprecatedFacadeByteIdentical locks the migration path from the
+// removed facade wrappers (MinBusy, MaxThroughput) to the Solver: the
+// wrappers ran the auto dispatch that now lives in the registry, so
+// Solver.Solve must produce byte-identical machine assignments (not
+// merely equal costs) and the same reported algorithm as
+// registry.DispatchMinBusy and registry.DispatchThroughput, across every
+// instance class and including disconnected instances that exercise the
+// component-merge path.
+func TestDeprecatedFacadeByteIdentical(t *testing.T) {
+	ctx := context.Background()
+	solver := busytime.NewSolver()
+	gens := map[string]func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance{
+		"general":       busytime.GenerateGeneral,
+		"proper":        busytime.GenerateProper,
+		"clique":        busytime.GenerateClique,
+		"proper-clique": busytime.GenerateProperClique,
+		"one-sided": func(seed int64, cfg busytime.WorkloadConfig) busytime.Instance {
+			return busytime.GenerateOneSided(seed, cfg, seed%2 == 0)
+		},
+		"cloud": busytime.GenerateCloud,
+	}
+	for name, gen := range gens {
+		for _, g := range []int{2, 3} {
+			for seed := int64(0); seed < 6; seed++ {
+				in := gen(seed, busytime.WorkloadConfig{N: 14, G: g, MaxTime: 120, MaxLen: 30})
+				class := busytime.Classify(in.Jobs)
+
+				wantSched, wantAlg, err := registry.DispatchMinBusy(ctx, in, class, 1)
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d: dispatch: %v", name, g, seed, err)
+				}
+				res, err := solver.Solve(ctx, busytime.Request{Instance: in})
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d: %v", name, g, seed, err)
+				}
+				if res.Algorithm != wantAlg {
+					t.Errorf("%s g=%d seed=%d: dispatcher ran %q, Solver ran %q", name, g, seed, wantAlg, res.Algorithm)
+				}
+				if !reflect.DeepEqual(wantSched.Machine, res.Schedule.Machine) {
+					t.Errorf("%s g=%d seed=%d: min-busy assignments diverge\ndispatcher: %v\nsolver:     %v",
+						name, g, seed, wantSched.Machine, res.Schedule.Machine)
+				}
+
+				budget := in.TotalLen() / 2
+				wantTS, wantTAlg, err := registry.DispatchThroughput(ctx, in, budget, class)
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d: throughput dispatch: %v", name, g, seed, err)
+				}
+				tres, err := solver.Solve(ctx, busytime.Request{Instance: in, Kind: busytime.KindMaxThroughput, Budget: budget})
+				if err != nil {
+					t.Fatalf("%s g=%d seed=%d throughput: %v", name, g, seed, err)
+				}
+				if tres.Algorithm != wantTAlg {
+					t.Errorf("%s g=%d seed=%d: throughput dispatcher ran %q, Solver ran %q", name, g, seed, wantTAlg, tres.Algorithm)
+				}
+				if !reflect.DeepEqual(wantTS.Machine, tres.Schedule.Machine) {
+					t.Errorf("%s g=%d seed=%d: max-throughput assignments diverge\ndispatcher: %v\nsolver:     %v",
+						name, g, seed, wantTS.Machine, tres.Schedule.Machine)
+				}
+			}
+		}
 	}
 }
